@@ -12,7 +12,7 @@ from repro.core.frontier import BitFrontier, popcount
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
 from repro.graph import build_csr, range_partition, rmat_edges
-from repro.runtime.message import MessageBatch, combine_or
+from repro.runtime.message import MessageBatch, combine_min, combine_or
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +44,33 @@ def test_kernel_batch64_khop(benchmark, kernel_graph):
     assert res.num_queries == 64
 
 
-def test_kernel_combine_or(benchmark):
+def _partition_batch(words: int, dtype=np.uint64) -> MessageBatch:
+    """One destination partition's merged inbound tasks: int32 CSR vertex
+    ids inside that partition's ``[lo, hi)`` and ``(m, words)`` payloads."""
     rng = np.random.default_rng(0)
-    batch = MessageBatch(
-        rng.integers(0, 10_000, size=200_000),
-        rng.integers(0, 2**63, size=200_000).astype(np.uint64),
-    )
+    lo, hi, m = 16_384, 32_768, 100_000
+    vertices = rng.integers(lo, hi, size=m).astype(np.int32)
+    if dtype == np.uint64:
+        payload = rng.integers(0, 2**63, size=(m, words)).astype(np.uint64)
+    else:
+        payload = rng.random((m, words)).astype(dtype)
+    return MessageBatch(vertices, payload)
+
+
+@pytest.mark.parametrize("words", [1, 8])
+def test_kernel_combine_or(benchmark, words):
+    batch = _partition_batch(words)
     out = benchmark(combine_or, batch)
-    assert out.num_tasks <= 10_000
+    assert out.num_tasks <= 16_384
+    assert out.vertices.dtype == np.int32
+    assert out.payload.shape[1] == words
+
+
+def test_kernel_combine_min(benchmark):
+    batch = _partition_batch(4, dtype=np.float64)
+    out = benchmark(combine_min, batch)
+    assert out.num_tasks <= 16_384
+    assert out.vertices.dtype == np.int32
 
 
 def test_kernel_popcount(benchmark):

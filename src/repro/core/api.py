@@ -32,7 +32,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import MessageBatch, route_by_owner
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -163,12 +163,7 @@ class _ProgramTask(PartitionTask):
         if ctx._pending_remote:
             dests = np.array([d for d, _ in ctx._pending_remote], dtype=np.int64)
             vals = np.array([v for _, v in ctx._pending_remote])
-            owners = self.cluster.owner_of(dests)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(dests[sel], vals[sel])
-                )
+            route_by_owner(self.machine.outbox, self.cluster, dests, vals)
             ctx._pending_remote = []
         stats.vertices_updated += len(self._next_local)
 

@@ -41,7 +41,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
-from repro.runtime.message import MessageBatch, combine_or
+from repro.runtime.message import combine_or, route_by_owner
 from repro.runtime.netmodel import NetworkModel, StepStats, choose_direction
 from repro.runtime.session import GraphSession
 
@@ -321,19 +321,7 @@ class KHopPartitionTask(PartitionTask):
 
     def _send_remote(self, rt: np.ndarray, rb: np.ndarray) -> None:
         """Group remote-destination edges by owner into outbox batches."""
-        owners = self.cluster.owner_of(rt)
-        order = np.argsort(owners, kind="stable")
-        owners_sorted = owners[order]
-        starts = np.concatenate(
-            [[0], np.nonzero(owners_sorted[1:] != owners_sorted[:-1])[0] + 1,
-             [owners_sorted.size]]
-        )
-        for a, b in zip(starts[:-1], starts[1:]):
-            if a == b:
-                continue
-            dest = int(owners_sorted[a])
-            sel = order[a:b]
-            self.machine.outbox.append(dest, MessageBatch(rt[sel], rb[sel]))
+        route_by_owner(self.machine.outbox, self.cluster, rt, rb)
 
 
 def concurrent_khop(

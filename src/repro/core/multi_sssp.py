@@ -23,7 +23,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
-from repro.runtime.message import MessageBatch, combine_min
+from repro.runtime.message import MessageBatch, combine_min, route_by_owner
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -87,13 +87,9 @@ class _MultiSSSPTask(PartitionTask):
             self._relax(targets[local_mask] - lo, cand[local_mask], stats)
         remote = ~local_mask
         if remote.any():
-            rt, rc = targets[remote], cand[remote]
-            owners = self.cluster.owner_of(rt)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(rt[sel], rc[sel])
-                )
+            route_by_owner(
+                self.machine.outbox, self.cluster, targets[remote], cand[remote]
+            )
 
     def apply_inbox(self, stats: StepStats) -> None:
         for batches in self.machine.inbox.take_all().values():
@@ -109,12 +105,8 @@ class _MultiSSSPTask(PartitionTask):
 
     def _relax(self, local: np.ndarray, cand: np.ndarray, stats: StepStats) -> None:
         # per-destination min over duplicate rows, then one improvement pass
-        order = np.argsort(local, kind="stable")
-        lv = local[order]
-        cv = cand[order]
-        starts = np.concatenate([[0], np.nonzero(lv[1:] != lv[:-1])[0] + 1])
-        uv = lv[starts]
-        umin = np.minimum.reduceat(cv, starts, axis=0)
+        combined = combine_min(MessageBatch(local, cand))
+        uv, umin = combined.vertices, combined.payload
         improved_rows = (umin < self.dist[uv]).any(axis=1)
         if improved_rows.any():
             tgt = uv[improved_rows]

@@ -22,7 +22,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch, combine_min
+from repro.runtime.message import MessageBatch, combine_min, route_by_owner
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -76,13 +76,10 @@ class _SSSPTask(PartitionTask):
             self._relax(targets[local_mask] - lo, cand[local_mask], stats)
         remote_mask = ~local_mask
         if remote_mask.any():
-            rt, rc = targets[remote_mask], cand[remote_mask]
-            owners = self.cluster.owner_of(rt)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(rt[sel], rc[sel])
-                )
+            route_by_owner(
+                self.machine.outbox, self.cluster,
+                targets[remote_mask], cand[remote_mask],
+            )
 
     def apply_inbox(self, stats: StepStats) -> None:
         for batches in self.machine.inbox.take_all().values():
@@ -98,11 +95,8 @@ class _SSSPTask(PartitionTask):
 
     def _relax(self, local: np.ndarray, cand: np.ndarray, stats: StepStats) -> None:
         # min-combine duplicates first so the improvement test is one pass
-        order = np.argsort(local, kind="stable")
-        lv, cv = local[order], cand[order]
-        starts = np.concatenate([[0], np.nonzero(lv[1:] != lv[:-1])[0] + 1])
-        uv = lv[starts]
-        umin = np.minimum.reduceat(cv, starts)
+        combined = combine_min(MessageBatch(local, cand))
+        uv, umin = combined.vertices, combined.payload
         improved = umin < self.dist[uv]
         if improved.any():
             tgt = uv[improved]

@@ -23,7 +23,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import MessageBatch, route_by_owner
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -137,12 +137,7 @@ class _VertexTask(PartitionTask):
         if self._pending_remote:
             dests = np.array([d for d, _ in self._pending_remote], dtype=np.int64)
             vals = np.array([x for _, x in self._pending_remote])
-            owners = self.cluster.owner_of(dests)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(dests[sel], vals[sel])
-                )
+            route_by_owner(self.machine.outbox, self.cluster, dests, vals)
             self._pending_remote = []
 
     def apply_inbox(self, stats: StepStats) -> None:

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MessageBatch", "TaskBuffer", "combine_or", "combine_min", "combine_sum"]
+__all__ = [
+    "MessageBatch",
+    "TaskBuffer",
+    "combine_or",
+    "combine_min",
+    "combine_sum",
+    "route_by_owner",
+]
 
 
 @dataclass
@@ -65,8 +72,63 @@ def combine_sum(batch: MessageBatch) -> MessageBatch:
 
 
 def _combine(batch: MessageBatch, op) -> MessageBatch:
+    """Deduplicate destinations, folding each vertex's payloads with ``op``.
+
+    Output vertices are ascending and keep the input vertex dtype (the
+    network model charges :meth:`MessageBatch.nbytes`).  OR, min and max
+    scatter into a dense scratch span; any other ufunc — notably ``np.add``,
+    whose float result depends on fold order — takes the sorted path.
+    """
     if batch.num_tasks == 0:
         return batch
+    identity = _dense_identity(op, batch.payload.dtype)
+    if identity is None:
+        return _combine_sorted(batch, op)
+    return _combine_dense(batch, op, identity)
+
+
+def _dense_identity(op, dtype: np.dtype):
+    """``op``'s identity in ``dtype`` if it may take the dense path, else None."""
+    if op is np.bitwise_or:
+        return 0 if dtype.kind in "biu" else None
+    if op is not np.minimum and op is not np.maximum:
+        return None
+    if dtype.kind == "f":
+        top, bottom = np.inf, -np.inf
+    elif dtype.kind in "iu":
+        top, bottom = np.iinfo(dtype).max, np.iinfo(dtype).min
+    elif dtype.kind == "b":
+        top, bottom = True, False
+    else:
+        return None
+    return top if op is np.minimum else bottom
+
+
+def _combine_dense(batch: MessageBatch, op, identity) -> MessageBatch:
+    """Scatter ``op.at`` into a scratch array over ``[v.min(), v.max()]``.
+
+    ``op.at`` folds each vertex's payloads in arrival order starting from
+    ``identity``.  For OR and integer min/max that is bit-identical to
+    :func:`_combine_sorted`.  For floats ``reduceat`` is not a strict
+    arrival-order fold, so the two may pick the other zero of a
+    ``+0.0``/``-0.0`` tie or other NaN bits; every other value matches.
+    Callers combine one destination partition's batches, so the span never
+    exceeds that partition.
+    """
+    v, p = batch.vertices, batch.payload
+    lo = int(v.min())
+    span = int(v.max()) - lo + 1
+    idx = v - lo
+    scratch = np.full((span,) + p.shape[1:], identity, dtype=p.dtype)
+    op.at(scratch, idx, p)
+    seen = np.zeros(span, dtype=bool)
+    seen[idx] = True
+    hit = np.flatnonzero(seen)
+    return MessageBatch((hit + lo).astype(v.dtype, copy=False), scratch[hit])
+
+
+def _combine_sorted(batch: MessageBatch, op) -> MessageBatch:
+    """Stable-sort by vertex, then ``op.reduceat`` over each vertex's run."""
     order = np.argsort(batch.vertices, kind="stable")
     v = batch.vertices[order]
     p = batch.payload[order]
@@ -125,3 +187,26 @@ class TaskBuffer:
 
     def nbytes(self) -> int:
         return sum(b.nbytes() for bs in self._batches.values() for b in bs)
+
+
+def route_by_owner(outbox: TaskBuffer, cluster, vertices, payload) -> None:
+    """Queue each ``(vertex, payload)`` row in ``outbox`` under its owner.
+
+    ``cluster.owner_of`` maps global vertices to machine ids.  One batch
+    per destination is appended, destinations ascending, rows in arrival
+    order.  Owner ids are grouped by a stable radix sort on the narrowest
+    integer dtype that holds them, not a comparison sort.  The batches may
+    alias ``vertices``/``payload``; callers hand them over.
+    """
+    owners = cluster.owner_of(vertices)
+    counts = np.bincount(owners)
+    dests = np.flatnonzero(counts)
+    if dests.size == 1:
+        outbox.append(int(dests[0]), MessageBatch(vertices, payload))
+        return
+    key = owners.astype(np.min_scalar_type(counts.size - 1), copy=False)
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(counts)
+    for dest in dests.tolist():
+        sel = order[ends[dest] - counts[dest] : ends[dest]]
+        outbox.append(dest, MessageBatch(vertices[sel], payload[sel]))

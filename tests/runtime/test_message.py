@@ -11,7 +11,9 @@ from repro.runtime.message import (
     combine_min,
     combine_or,
     combine_sum,
+    route_by_owner,
 )
+from repro.graph.partition import owner_of_bounds
 
 
 class TestMessageBatch:
@@ -121,3 +123,48 @@ class TestTaskBuffer:
         buf.append(0, MessageBatch(np.array([1, 2]), np.array([1, 2], np.uint64)))
         assert buf.num_tasks() == 2
         assert buf.nbytes() > 0
+
+
+class _Bounds:
+    """Just enough of a cluster for routing: ``owner_of`` over range bounds."""
+
+    def __init__(self, bounds):
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+
+    def owner_of(self, vertices):
+        return owner_of_bounds(self.bounds, vertices)
+
+
+class TestRouteByOwner:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vs=st.lists(st.integers(0, 299), min_size=1, max_size=60),
+        cuts=st.lists(st.integers(1, 299), max_size=6, unique=True),
+    )
+    def test_matches_per_owner_filter(self, vs, cuts):
+        """One batch per owner, owners ascending, rows in arrival order."""
+        cluster = _Bounds([0, *sorted(cuts), 300])
+        v = np.array(vs, dtype=np.int32)
+        p = np.arange(v.size, dtype=np.uint64)[:, None]
+        buf = TaskBuffer()
+        route_by_owner(buf, cluster, v, p)
+        owners = cluster.owner_of(v)
+        expected = [int(d) for d in np.unique(owners)]
+        drained = buf.take_all()
+        assert list(drained) == expected
+        for dest in expected:
+            (batch,) = drained[dest]
+            sel = owners == dest
+            assert batch.vertices.dtype == np.int32
+            assert batch.vertices.tolist() == v[sel].tolist()
+            assert batch.payload.tolist() == p[sel].tolist()
+
+    def test_many_owners_use_narrow_keys(self):
+        cluster = _Bounds(np.arange(0, 1025, 2))  # 512 machines: uint16 keys
+        v = np.array([1023, 0, 511, 1, 1022], dtype=np.int64)
+        buf = TaskBuffer()
+        route_by_owner(buf, cluster, v, v.astype(np.float64))
+        drained = buf.take_all()
+        assert list(drained) == [0, 255, 511]
+        assert drained[0][0].vertices.tolist() == [0, 1]
+        assert drained[511][0].vertices.tolist() == [1023, 1022]
